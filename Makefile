@@ -6,7 +6,7 @@ GO ?= go
 # lands here; the directory is untracked (see .gitignore).
 ARTIFACTS ?= artifacts
 
-.PHONY: all build vet lint cert cert-check test race short bench bench-json bench-json-sharded bench-adaptive bench-handles bench-scq bench-coalesce bench-topo bench-trajectory bench-all bench-compare fuzz stress soak ci experiments examples clean
+.PHONY: all build vet lint cert cert-check test race short perfbench bench bench-json bench-json-sharded bench-adaptive bench-handles bench-scq bench-coalesce bench-topo bench-trajectory bench-all bench-compare fuzz stress soak ci experiments examples clean
 
 all: build vet lint test
 
@@ -48,6 +48,18 @@ short:
 
 race:
 	$(GO) test -race ./... -count=1
+
+# The repository benchmark (perfbench/README.md): the benchmark module's own
+# tests, which the root `go test ./...` does not reach, then a 3-s run of
+# each BENCHMARK.json workload. Every run must pass the exact output check
+# (every value out exactly once, per-producer order), i.e. exit 0.
+PERFBENCH_WORKLOADS ?= pairs pairs-deep bounded-pairs
+
+perfbench:
+	cd perfbench && $(GO) test ./...
+	for w in $(PERFBENCH_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 3 || exit 1; \
+	done
 
 # One testing.B family per paper table/figure plus ablations (DESIGN.md §7).
 bench:

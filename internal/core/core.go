@@ -113,8 +113,9 @@ type cell struct {
 }
 
 // segment is 2^segShift cells plus list linkage. Segment ids increase by
-// one along the list; cell Q[i] lives in segment i>>segShift at offset
-// i&segMask.
+// one along the list; cell Q[i] lives in segment i>>segShift, at the slot
+// findCell's cache remap assigns to offset i&segMask (segment.go), so that
+// consecutive cells never share a cache line.
 type segment struct {
 	id    int64
 	next  unsafe.Pointer // *segment
@@ -191,10 +192,13 @@ type Handle struct {
 	// retains every later one).
 	scratch [2]unsafe.Pointer
 
-	// segCache holds one retired segment for reuse by this handle, the
-	// paper's §3.6 per-thread reuse of the last reclaimed segment. Only
-	// the handle's owner reads/writes it (newSegment, recycleSegment and
-	// freeSegments all run on the owning goroutine), so access is plain.
+	// segCache holds one segment for reuse by this handle's next list
+	// extension: the segment it allocated and then lost the extension race
+	// with (the reference implementation's th->spare), or with
+	// WithRecycling the paper's §3.6 per-thread reuse of the last reclaimed
+	// segment. Only the handle's owner reads/writes it (findCell,
+	// newSegment, recycleSegment and freeSegments all run on the owning
+	// goroutine), so access is plain.
 	segCache *segment
 
 	// Coalescing state (coalesce.go): the producer buffer accumulating
@@ -253,10 +257,13 @@ type Counters struct {
 	Cleanups      uint64 // reclamation passes that freed at least one segment
 	Segments      uint64 // segments linked into the list by this handle
 
-	// Memory-path instrumentation (WithRecycling): where newSegment got
-	// its segment from. SegAllocs counts fresh heap allocations; the two
-	// hit counters count reuses, so SegAllocs stabilizing while the hit
-	// counters grow is the observable form of the zero-allocation claim.
+	// Memory-path instrumentation: where newSegment got its segment from.
+	// SegAllocs counts fresh heap allocations; the two hit counters count
+	// reuses, so SegAllocs stabilizing while the hit counters grow is the
+	// observable form of the zero-allocation claim (WithRecycling). In
+	// every mode SegCacheHits counts reuses of the spare a handle kept
+	// after losing a list-extension race, so SegAllocs tracks Segments
+	// rather than the number of extension attempts.
 	SegCacheHits uint64 // segments reused from the per-handle cache
 	SegPoolHits  uint64 // segments reused from the shared lock-free pool
 	SegAllocs    uint64 // segments freshly heap-allocated
@@ -329,8 +336,13 @@ type Queue struct {
 	q unsafe.Pointer // *segment
 	_ pad.CacheLinePad
 
-	segShift   uint
-	segMask    int64
+	segShift uint
+	segMask  int64
+	// remapHi and remapLo are the two shift amounts of findCell's cache
+	// remap (segment.go), fixed at construction so the hot path has no
+	// branch.
+	remapHi    uint
+	remapLo    uint
 	patience   int
 	maxSpin    int
 	maxGarbage int64
@@ -463,9 +475,12 @@ func New(maxThreads int, opts ...Option) *Queue {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	remapHi, remapLo := remapShifts(cfg.segShift)
 	q := &Queue{
 		segShift:   cfg.segShift,
 		segMask:    (1 << cfg.segShift) - 1,
+		remapHi:    remapHi,
+		remapLo:    remapLo,
 		patience:   cfg.patience,
 		maxSpin:    cfg.maxSpin,
 		maxGarbage: cfg.maxGarbage,

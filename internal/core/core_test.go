@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -247,13 +248,19 @@ func TestConcurrentMPMCPatienceZero(t *testing.T) {
 	produceConsume(t, q, 4, 4, per)
 }
 
+// Tiny segments with eager reclamation, at shift 2 (identity cell
+// placement) and shift 4, the smallest segment the cache remap permutes.
 func TestConcurrentTinySegments(t *testing.T) {
 	per := 5000
 	if testing.Short() {
 		per = 500
 	}
-	q := New(16, WithSegmentShift(2), WithMaxGarbage(1))
-	produceConsume(t, q, 4, 4, per)
+	for _, shift := range []uint{2, 4} {
+		t.Run(fmt.Sprintf("shift%d", shift), func(t *testing.T) {
+			q := New(16, WithSegmentShift(shift), WithMaxGarbage(1))
+			produceConsume(t, q, 4, 4, per)
+		})
+	}
 }
 
 func TestConcurrentRecycling(t *testing.T) {
@@ -261,10 +268,14 @@ func TestConcurrentRecycling(t *testing.T) {
 	if testing.Short() {
 		per = 500
 	}
-	q := New(16, WithSegmentShift(2), WithMaxGarbage(1), WithRecycling(true))
-	produceConsume(t, q, 4, 4, per)
-	if q.ReclaimedSegments() == 0 {
-		t.Error("tiny segments with MaxGarbage=1 should have reclaimed segments")
+	for _, shift := range []uint{2, 4} {
+		t.Run(fmt.Sprintf("shift%d", shift), func(t *testing.T) {
+			q := New(16, WithSegmentShift(shift), WithMaxGarbage(1), WithRecycling(true))
+			produceConsume(t, q, 4, 4, per)
+			if q.ReclaimedSegments() == 0 {
+				t.Error("tiny segments with MaxGarbage=1 should have reclaimed segments")
+			}
+		})
 	}
 }
 

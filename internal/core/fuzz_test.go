@@ -26,6 +26,11 @@ func FuzzAgainstModel(f *testing.F) {
 	f.Add([]byte{10, 0x81, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1})
 	f.Add([]byte{0, 0x82, 2, 255, 3, 254, 2, 127, 3, 126, 2, 63, 3, 62})
 	f.Add([]byte{5, 0x81, 2, 30, 1, 1, 1, 3, 14, 0, 0, 1, 1, 2, 6, 3, 200})
+	// Shift 4, the smallest segment the cache remap permutes, with and
+	// without recycling: batches straddle segment boundaries and the
+	// permuted slots of retired segments come back mid-sequence.
+	f.Add([]byte{0, 0x03, 66, 127, 0, 0, 0, 1, 254, 59, 1, 1, 0, 254, 255, 255})
+	f.Add([]byte{10, 0x83, 62, 63, 0, 1, 0, 1, 70, 71, 254, 3, 255, 255})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {

@@ -16,6 +16,13 @@ func (q *Queue) cleanup(h *Handle) {
 	if i == -1 {
 		return // another thread is cleaning
 	}
+	eid := sid(e)
+	if eid-i < q.maxGarbage {
+		// Not enough garbage even before the clamp below, which can only
+		// lower the target: return without touching T and H, the two
+		// most contended words in the queue.
+		return
+	}
 	// §3.6: segment[k] is retired only when BOTH T and H have moved past
 	// k×N. The cleaner's head segment tracks H; additionally clamp the
 	// target to the segment of min(T, H), or a queue polled while empty
@@ -27,7 +34,6 @@ func (q *Queue) cleanup(h *Handle) {
 		limit = hIdx
 	}
 	limitSeg := limit >> q.segShift
-	eid := sid(e)
 	if eid > limitSeg {
 		eid = limitSeg
 	}

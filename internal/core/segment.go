@@ -9,31 +9,37 @@ import (
 // atomic when recycling is enabled.
 func sid(s *segment) int64 { return atomic.LoadInt64(&s.id) }
 
-// newSegment allocates (or recycles) a segment with the given id and all
-// cells in the initial (⊥, ⊥e, ⊥d) state. With recycling the handle's
-// one-segment cache is consulted first, then the shared lock-free pool
+// newSegment allocates (or reuses) a segment with the given id and all
+// cells in the initial (⊥, ⊥e, ⊥d) state. The handle's one-segment cache is
+// consulted first, then with recycling the shared lock-free pool
 // (segpool.go), so the common steady-state case — a thread reusing the
-// segment it itself retired — touches no shared state at all. h is nil
-// only for the initial segment built by New, before any handle exists.
+// segment it itself retired, or the spare it kept after losing a list
+// extension race — touches no shared state at all. h is nil only for the
+// initial segment built by New, before any handle exists.
 func (q *Queue) newSegment(h *Handle, id int64) *segment {
-	if q.recycle {
-		s := (*segment)(nil)
-		if h != nil && h.segCache != nil {
-			s, h.segCache = h.segCache, nil
-			ctrInc(&h.stats.SegCacheHits)
-		} else if s = q.pool.pop(); s != nil && h != nil {
+	s := (*segment)(nil)
+	if h != nil && h.segCache != nil {
+		s, h.segCache = h.segCache, nil
+		ctrInc(&h.stats.SegCacheHits)
+	} else if q.recycle {
+		if s = q.pool.pop(); s != nil && h != nil {
 			ctrInc(&h.stats.SegPoolHits)
 		}
-		if s != nil {
-			// id is stored atomically: a cleaner that loaded a reference
-			// to this segment before it was recycled may still read the
-			// id (the read is gated — it can only influence the CAS on
-			// q.I, which then fails — but it must be a defined read).
-			atomic.StoreInt64(&s.id, id)
-			s.next = nil
+	}
+	if s != nil {
+		// id is stored atomically: a cleaner that loaded a reference to
+		// this segment before it was recycled may still read the id (the
+		// read is gated — it can only influence the CAS on q.I, which then
+		// fails — but it must be a defined read).
+		atomic.StoreInt64(&s.id, id)
+		s.next = nil
+		if q.recycle {
+			// A retired segment's cells hold their last states. Without
+			// recycling the cache only ever holds a spare that was never
+			// published, whose cells are still in the initial state.
 			clear(s.cells)
-			return s
 		}
+		return s
 	}
 	if h != nil {
 		ctrInc(&h.stats.SegAllocs)
@@ -52,6 +58,11 @@ func (q *Queue) recycleSegment(h *Handle, s *segment) {
 	q.pool.push(s)
 }
 
+// extending, when non-nil, runs between a list extender's allocation and
+// its CAS on s.next; a variable so the whitebox tests can make an extension
+// lose its race deterministically.
+var extending func(s *segment)
+
 // findCell locates cell Q[cellID], extending the segment list as needed
 // (paper lines 33-52). sp points at a segment pointer — either a local
 // traversal variable or a handle's head/tail field, which cleaners may CAS
@@ -65,13 +76,17 @@ func (q *Queue) findCell(h *Handle, sp *unsafe.Pointer, cellID int64) *cell {
 		if next == nil {
 			// The list needs another segment: allocate one and try to
 			// extend the list. A failed CAS means another thread already
-			// extended it; the loser's segment is dropped (GC) or
-			// recycled.
+			// extended it; the loser's segment was never published, so it
+			// becomes this handle's spare for its next extension
+			// (newSegment has just emptied the cache).
 			tmp := q.newSegment(h, i+1)
+			if extending != nil {
+				extending(s)
+			}
 			if atomic.CompareAndSwapPointer(&s.next, nil, unsafe.Pointer(tmp)) {
 				ctrInc(&h.stats.Segments)
-			} else if q.recycle {
-				q.recycleSegment(h, tmp)
+			} else {
+				h.segCache = tmp
 			}
 			next = (*segment)(atomic.LoadPointer(&s.next))
 		}
@@ -84,7 +99,33 @@ func (q *Queue) findCell(h *Handle, sp *unsafe.Pointer, cellID int64) *cell {
 	if unsafe.Pointer(s) != orig {
 		atomic.StorePointer(sp, unsafe.Pointer(s))
 	}
-	return &s.cells[cellID&q.segMask]
+	return &s.cells[q.cellSlot(cellID)]
+}
+
+// cellRemapBits is the rotation of findCell's cache remap, the same
+// transform as the SCQ ring's remap (internal/scq): consecutive cell ids
+// land 2^3 = 8 slots apart, 192 B on 64-bit and 96 B on 32-bit, so the
+// cells the FAA hands to concurrent operations never share a 64-byte line.
+const cellRemapBits = 3
+
+// remapShifts returns the right and left shift amounts of the remap for a
+// segment of 2^segShift cells. Segments of at most 2^cellRemapBits cells
+// have no room to spread and get the identity: a right shift by segShift
+// clears every offset and a left shift by 0 keeps it.
+func remapShifts(segShift uint) (hi, lo uint) {
+	if segShift <= cellRemapBits {
+		return segShift, 0
+	}
+	return segShift - cellRemapBits, cellRemapBits
+}
+
+// cellSlot maps cell id i to its slot in its segment: the in-segment
+// offset rotated left by cellRemapBits within segShift bits, which is a
+// permutation of [0, 2^segShift). The masked shift amounts let the
+// compiler drop its oversized-shift handling.
+func (q *Queue) cellSlot(i int64) int64 {
+	j := i & q.segMask
+	return j>>(q.remapHi&63) | (j<<(q.remapLo&63))&q.segMask
 }
 
 // advanceEndForLinearizability bumps the head or tail index *e to at least

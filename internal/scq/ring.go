@@ -168,31 +168,30 @@ func (r *ring) claimAt(t, idx uint64) bool {
 }
 
 // enqueueBatch publishes len(idxs) indices with ONE FAA reserving
-// len(idxs) consecutive tail tickets. Per-ticket validation is unchanged:
-// each reserved ticket runs the normal claim protocol, and an index whose
-// reserved ticket was poisoned by an early dequeuer retries on fresh
-// single tickets exactly as a scalar enqueue would. The interleaving is
-// therefore equivalent to len(idxs) scalar enqueuers whose tail FAAs
-// happened back-to-back — every SCQ invariant carries over unchanged.
-// The caller's not-full obligation is the same as enqueue's.
+// len(idxs) consecutive tail tickets, claimed in order with the normal
+// per-ticket protocol. When a reserved ticket was poisoned by an early
+// dequeuer, the unclaimed suffix — that index and every later one — is
+// re-reserved as one fresh contiguous run, and the rest of the old run is
+// abandoned the way a scalar enqueuer abandons a poisoned ticket (dequeuers
+// skip it). Retrying only the failed index on a single fresh ticket would
+// land it after the later indices of its own batch and break per-producer
+// FIFO. Each round is therefore a batch enqueue of the remaining suffix, so
+// every SCQ invariant carries over unchanged. The caller's not-full
+// obligation is the same as enqueue's.
 func (r *ring) enqueueBatch(idxs []uint64) {
-	k := uint64(len(idxs))
-	if k == 0 {
-		return
-	}
-	t0 := r.tail.Add(k) - k
-	//wfqlint:bounded(K, one claim attempt per reserved index: j ranges over the caller's batch)
-	for j, idx := range idxs {
-		if r.claimAt(t0+uint64(j), idx) {
-			continue
-		}
-		//wfqlint:bounded(RETRY, lock-free ticket retry, same bound as enqueue: a fresh ticket is abandoned only when a dequeuer poisoned its slot, which implies system-wide progress; at most n of 2n slots hold live entries, so the index lands after bounded interference)
-		for {
-			t := r.tail.Add(1) - 1
-			if r.claimAt(t, idx) {
+	//wfqlint:bounded(RETRY, lock-free ticket retry, same bound as enqueue: a run is cut short only when a dequeuer poisoned the slot of its first unclaimed ticket, which implies system-wide progress; at most n of 2n slots hold live entries, so the suffix lands after bounded interference)
+	for len(idxs) > 0 {
+		k := uint64(len(idxs))
+		t0 := r.tail.Add(k) - k
+		claimed := len(idxs)
+		//wfqlint:bounded(K, one claim attempt per reserved ticket: j ranges over the unclaimed suffix)
+		for j, idx := range idxs {
+			if !r.claimAt(t0+uint64(j), idx) {
+				claimed = j
 				break
 			}
 		}
+		idxs = idxs[claimed:]
 	}
 }
 
