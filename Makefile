@@ -51,14 +51,16 @@ race:
 
 # The repository benchmark (perfbench/README.md): the benchmark module's own
 # tests, which the root `go test ./...` does not reach, then a 3-s run of
-# each BENCHMARK.json workload. Every run must pass the exact output check
-# (every value out exactly once, per-producer order), i.e. exit 0.
-PERFBENCH_WORKLOADS ?= pairs pairs-deep bounded-pairs
-
+# every workload BENCHMARK.json declares (read from the file, so the list
+# cannot drift). Every run must pass the exact output check (every value out
+# exactly once, per-producer order), i.e. exit 0.
 perfbench:
 	cd perfbench && $(GO) test ./...
-	for w in $(PERFBENCH_WORKLOADS); do \
-		python3 perfbench/run.py --workload $$w --seed 1 --seconds 3 || exit 1; \
+	set -e; \
+	workloads=$$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); \
+	test -n "$$workloads"; \
+	for w in $$workloads; do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 3; \
 	done
 
 # One testing.B family per paper table/figure plus ablations (DESIGN.md §7).

@@ -164,6 +164,9 @@ func TestSegCacheServesOwner(t *testing.T) {
 	if h.segCache == nil {
 		t.Fatal("after reclamation cycles the cleaner's segment cache is empty")
 	}
+	if h.segCacheSpare {
+		t.Fatal("a reclaimed segment in the cache is marked as a never-published spare")
+	}
 	if got := ctrLoad(&h.stats.SegCacheHits); got == 0 {
 		t.Error("no segment was ever served from the handle cache")
 	}

@@ -198,8 +198,11 @@ type Handle struct {
 	// WithRecycling the paper's §3.6 per-thread reuse of the last reclaimed
 	// segment. Only the handle's owner reads/writes it (findCell,
 	// newSegment, recycleSegment and freeSegments all run on the owning
-	// goroutine), so access is plain.
-	segCache *segment
+	// goroutine), so access is plain. segCacheSpare marks a cached
+	// segment as such a never-published spare, whose cells are still in
+	// the initial state, so newSegment can skip clearing them.
+	segCache      *segment
+	segCacheSpare bool
 
 	// Coalescing state (coalesce.go): the producer buffer accumulating
 	// enqueues for the next single-FAA flush (cbuf[:clen], cops operations

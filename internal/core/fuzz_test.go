@@ -21,16 +21,18 @@ func FuzzAgainstModel(f *testing.F) {
 	f.Add([]byte{3, 2, 0, 0, 0, 1, 1, 1, 1, 0, 1, 0, 1})
 	f.Add([]byte{0, 2, 2, 3, 2, 7, 3, 30, 2, 255, 3, 254})
 	f.Add([]byte{1, 1, 2, 2, 1, 3, 3, 0, 2, 6, 1, 3, 7})
-	// Recycling seeds (high bit of data[1]): shift 1–2, heavy cross-boundary
-	// traffic so segments retire and come back mid-sequence.
+	// Recycling seeds (high bit of data[1]): shift 4 (0x81) and 5 (0x82),
+	// heavy cross-boundary traffic so segments retire and come back
+	// mid-sequence.
 	f.Add([]byte{10, 0x81, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1})
 	f.Add([]byte{0, 0x82, 2, 255, 3, 254, 2, 127, 3, 126, 2, 63, 3, 62})
 	f.Add([]byte{5, 0x81, 2, 30, 1, 1, 1, 3, 14, 0, 0, 1, 1, 2, 6, 3, 200})
 	// Shift 4, the smallest segment the cache remap permutes, with and
-	// without recycling: batches straddle segment boundaries and the
-	// permuted slots of retired segments come back mid-sequence.
+	// without recycling: batches of up to 64 values straddle four segments
+	// at a time, and with recycling the permuted slots of retired segments
+	// come back through the handle cache and the pool mid-sequence.
 	f.Add([]byte{0, 0x03, 66, 127, 0, 0, 0, 1, 254, 59, 1, 1, 0, 254, 255, 255})
-	f.Add([]byte{10, 0x83, 62, 63, 0, 1, 0, 1, 70, 71, 254, 3, 255, 255})
+	f.Add([]byte{10, 0x81, 254, 255, 254, 1, 0, 1, 255, 0, 254, 255, 1, 254, 71, 255, 255})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {

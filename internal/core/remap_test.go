@@ -94,7 +94,7 @@ func TestLostExtensionKeepsSpare(t *testing.T) {
 			t.Fatalf("recycle=%v: the loser found a cell outside the winner's segment", recycle)
 		}
 		spare := b.segCache
-		if spare == nil || unsafe.Pointer(spare) == sp {
+		if spare == nil || unsafe.Pointer(spare) == sp || !b.segCacheSpare {
 			t.Fatalf("recycle=%v: the loser did not keep its unpublished segment", recycle)
 		}
 		if got := ctrLoad(&b.stats.Segments); got != 0 {
@@ -107,7 +107,7 @@ func TestLostExtensionKeepsSpare(t *testing.T) {
 		if got := ctrLoad(&b.stats.SegAllocs); got != allocs {
 			t.Fatalf("recycle=%v: next extension allocated (SegAllocs %d → %d)", recycle, allocs, got)
 		}
-		if b.segCache != nil || unsafe.Pointer(spare) != sp {
+		if b.segCache != nil || b.segCacheSpare || unsafe.Pointer(spare) != sp {
 			t.Fatalf("recycle=%v: next extension did not link the spare", recycle)
 		}
 		if sid(spare) != 2 || atomic.LoadPointer(&spare.next) != nil {

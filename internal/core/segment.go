@@ -18,8 +18,10 @@ func sid(s *segment) int64 { return atomic.LoadInt64(&s.id) }
 // initial segment built by New, before any handle exists.
 func (q *Queue) newSegment(h *Handle, id int64) *segment {
 	s := (*segment)(nil)
+	spare := false
 	if h != nil && h.segCache != nil {
 		s, h.segCache = h.segCache, nil
+		spare, h.segCacheSpare = h.segCacheSpare, false
 		ctrInc(&h.stats.SegCacheHits)
 	} else if q.recycle {
 		if s = q.pool.pop(); s != nil && h != nil {
@@ -33,10 +35,10 @@ func (q *Queue) newSegment(h *Handle, id int64) *segment {
 		// fails — but it must be a defined read).
 		atomic.StoreInt64(&s.id, id)
 		s.next = nil
-		if q.recycle {
-			// A retired segment's cells hold their last states. Without
-			// recycling the cache only ever holds a spare that was never
-			// published, whose cells are still in the initial state.
+		if !spare {
+			// A retired segment's cells hold their last states. A spare
+			// was never published, so its cells are still in the initial
+			// state (newSegment cleared or allocated them).
 			clear(s.cells)
 		}
 		return s
@@ -52,7 +54,7 @@ func (q *Queue) newSegment(h *Handle, id int64) *segment {
 // pool, else dropped for the GC (the pool is bounded; see segpool.go).
 func (q *Queue) recycleSegment(h *Handle, s *segment) {
 	if h != nil && h.segCache == nil {
-		h.segCache = s
+		h.segCache, h.segCacheSpare = s, false
 		return
 	}
 	q.pool.push(s)
@@ -86,7 +88,7 @@ func (q *Queue) findCell(h *Handle, sp *unsafe.Pointer, cellID int64) *cell {
 			if atomic.CompareAndSwapPointer(&s.next, nil, unsafe.Pointer(tmp)) {
 				ctrInc(&h.stats.Segments)
 			} else {
-				h.segCache = tmp
+				h.segCache, h.segCacheSpare = tmp, true
 			}
 			next = (*segment)(atomic.LoadPointer(&s.next))
 		}

@@ -167,31 +167,33 @@ func (r *ring) claimAt(t, idx uint64) bool {
 	}
 }
 
-// enqueueBatch publishes len(idxs) indices with ONE FAA reserving
-// len(idxs) consecutive tail tickets, claimed in order with the normal
-// per-ticket protocol. When a reserved ticket was poisoned by an early
-// dequeuer, the unclaimed suffix — that index and every later one — is
-// re-reserved as one fresh contiguous run, and the rest of the old run is
-// abandoned the way a scalar enqueuer abandons a poisoned ticket (dequeuers
-// skip it). Retrying only the failed index on a single fresh ticket would
-// land it after the later indices of its own batch and break per-producer
-// FIFO. Each round is therefore a batch enqueue of the remaining suffix, so
-// every SCQ invariant carries over unchanged. The caller's not-full
-// obligation is the same as enqueue's.
+// enqueueBatch publishes len(idxs) indices in order with ONE FAA
+// reserving len(idxs) consecutive tail tickets. Every reserved ticket runs
+// the normal claimAt protocol exactly once, in ticket order, with the
+// oldest index not yet placed: a ticket an early dequeuer poisoned is
+// abandoned exactly as a scalar enqueue abandons it, and its index moves on
+// to the next reserved ticket. Indices therefore land at increasing
+// tickets, so the batch keeps its order (retrying a failed index on a
+// fresh single ticket would place it after the later indices of its own
+// batch). Only when the reserved
+// run is used up with indices left does one more FAA reserve exactly that
+// many tickets. Throughout, the tickets reserved but not yet tried number
+// at most the indices the call still holds, which is the bound SCQ's
+// threshold argument puts on pending tickets (DESIGN.md §7, "Batches").
+// The caller's not-full obligation is the same as enqueue's.
 func (r *ring) enqueueBatch(idxs []uint64) {
-	//wfqlint:bounded(RETRY, lock-free ticket retry, same bound as enqueue: a run is cut short only when a dequeuer poisoned the slot of its first unclaimed ticket, which implies system-wide progress; at most n of 2n slots hold live entries, so the suffix lands after bounded interference)
+	//wfqlint:bounded(RETRY, lock-free ticket retry, same bound as enqueue: another run is reserved only when a dequeuer poisoned one of this run's tickets, which implies system-wide progress; at most n of 2n slots hold live entries, so the remaining indices land after bounded interference)
 	for len(idxs) > 0 {
 		k := uint64(len(idxs))
-		t0 := r.tail.Add(k) - k
-		claimed := len(idxs)
-		//wfqlint:bounded(K, one claim attempt per reserved ticket: j ranges over the unclaimed suffix)
-		for j, idx := range idxs {
-			if !r.claimAt(t0+uint64(j), idx) {
-				claimed = j
-				break
+		t := r.tail.Add(k) - k
+		// end-t never exceeds len(idxs): both start at k, and every
+		// iteration advances t while placing at most one index.
+		//wfqlint:bounded(K, one claim attempt per reserved ticket: k = the indices still held when the run was reserved)
+		for end := t + k; t < end; t++ {
+			if r.claimAt(t, idxs[0]) {
+				idxs = idxs[1:]
 			}
 		}
-		idxs = idxs[claimed:]
 	}
 }
 
