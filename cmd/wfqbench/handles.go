@@ -53,7 +53,7 @@ type handlesLifecycle struct {
 type handlesPairwise struct {
 	// LockfreeOverMutex is wf-10's churn wall throughput over
 	// wf-10-mutexreg's, best-of-R with the sides interleaved (see
-	// adaptiveRounds for why). >= 1 means the lock-free lifecycle won.
+	// pairedRounds for why). >= 1 means the lock-free lifecycle won.
 	LockfreeOverMutex float64 `json:"wf10_over_mutexreg_churn_wall"`
 	LockfreeWallMops  float64 `json:"wf10_churn_wall_mops"`
 	MutexWallMops     float64 `json:"mutexreg_churn_wall_mops"`
@@ -144,11 +144,11 @@ func runHandles(o options, tolerance float64) {
 			qn, row.Mops, row.WallMops, row.AllocsPerOp)
 	}
 
-	// Pairwise: interleaved best-of rounds, same rationale as the adaptive
-	// section — machine-load drift only slows rounds down, so the best round
-	// per side under interleaving is the fairest same-run comparison.
+	// Pairwise: interleaved best-of rounds (see pairedRounds) —
+	// machine-load drift only slows rounds down, so the best round per side
+	// under interleaving is the fairest same-run comparison.
 	var lockfree, mutex float64
-	for r := 0; r < adaptiveRounds; r++ {
+	for r := 0; r < pairedRounds; r++ {
 		lf, err := bench.Run(o.config("wf-10", workload.Churn, threads))
 		if err != nil {
 			fatalf("handles pairwise wf-10: %v", err)

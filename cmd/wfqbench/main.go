@@ -80,9 +80,6 @@
 //	-nowork  drop the 50-100ns random inter-operation work
 //	-nopin   do not pin workers to hardware threads
 //	-csv      append rows as CSV to the given file
-//	-adaptive json: also measure the fixed-vs-adaptive pairs (wf-10 vs
-//	          wf-adaptive, wf-sharded vs wf-sharded-adaptive) under the
-//	          pairs and bursty workloads at oversubscribed thread counts
 //	-list    list registered queue implementations and exit
 package main
 
@@ -116,7 +113,6 @@ type options struct {
 	nopin      bool
 	csvPath    string
 	outPath    string
-	adaptive   bool
 	benchKs    []workload.Kind
 }
 
@@ -151,7 +147,6 @@ func main() {
 		outDefault = "BENCH_trajectory.json"
 	}
 	outPath := fs.String("out", outDefault, "json/handles: output path for the benchmark baseline")
-	adaptive := fs.Bool("adaptive", false, "json: also measure fixed-vs-adaptive pairs (pairs + bursty workloads, oversubscribed threads)")
 	baselinePath := fs.String("baseline", "BENCH_core.json", "compare: committed baseline to diff against")
 	tolerance := fs.Float64("tolerance", 0.20, "compare: allowed fractional wall-throughput drop before failing")
 	strict := fs.Bool("strict", false, "compare: gate throughput even when the platform differs from the baseline's")
@@ -166,17 +161,16 @@ func main() {
 	}
 
 	o := options{
-		plot:     *doPlot,
-		ops:      *ops,
-		batch:    *batch,
-		trials:   *trials,
-		iters:    *iters,
-		paper:    *paper,
-		nowork:   *nowork,
-		nopin:    *nopin,
-		csvPath:  *csvPath,
-		outPath:  *outPath,
-		adaptive: *adaptive,
+		plot:    *doPlot,
+		ops:     *ops,
+		batch:   *batch,
+		trials:  *trials,
+		iters:   *iters,
+		paper:   *paper,
+		nowork:  *nowork,
+		nopin:   *nopin,
+		csvPath: *csvPath,
+		outPath: *outPath,
 	}
 	if *paper {
 		o.ops = workload.DefaultOps
@@ -324,7 +318,12 @@ func runFigure2(o options) {
 		header := append([]string{"threads"}, o.queues...)
 		fmt.Println(strings.Join(header, " | "))
 		fmt.Println(strings.Repeat("--- | ", len(header)-1) + "---")
-		o.csv("figure2," + k.String() + ",threads,batch," + strings.Join(o.queues, ",excl,wall per queue"))
+		// Two columns per queue, matching the data rows below.
+		csvHeader := []string{"figure2", k.String(), "threads", "batch"}
+		for _, qn := range o.queues {
+			csvHeader = append(csvHeader, qn+" excl", qn+" wall")
+		}
+		o.csv(strings.Join(csvHeader, ","))
 		series := make([]plot.Series, len(o.queues))
 		for i, qn := range o.queues {
 			series[i].Name = qn

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"wfqueue/internal/core"
 )
 
 var (
@@ -41,6 +43,26 @@ func TestRepoClean(t *testing.T) {
 	_, res := repoResult(t)
 	for _, d := range res.Diags {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestRepoParamReferenceValues keeps the reference values of the user-set
+// knobs equal to core's defaults, so the certificate's steps column prices
+// the configuration New builds without options.
+func TestRepoParamReferenceValues(t *testing.T) {
+	want := map[string]uint64{"PATIENCE": core.DefaultPatience, "MAX_SPIN": core.DefaultMaxSpin}
+	for _, s := range RepoSymbols() {
+		v, ok := want[s.Name]
+		if !ok {
+			continue
+		}
+		if !s.Param || s.Value != v {
+			t.Errorf("%s: Param=%v Value=%d, want a parameter with reference value %d", s.Name, s.Param, s.Value, v)
+		}
+		delete(want, s.Name)
+	}
+	for name := range want {
+		t.Errorf("symbol %s missing from RepoSymbols", name)
 	}
 }
 

@@ -154,12 +154,6 @@ type Handle struct {
 
 	_ pad.CacheLinePad
 
-	// adapt is the contention-adaptive controller state (adaptive.go):
-	// effective patience/spin/backoff knobs plus the signal EWMAs. Owner-
-	// written like stats; it opens the owner-local section so its words sit
-	// a full line away from the helper-CASed request words above.
-	adapt adaptState
-
 	// next links handles in the static helping ring; idx is this handle's
 	// position in Queue.handles (both fixed after New).
 	next *Handle
@@ -244,13 +238,9 @@ type Counters struct {
 	DeqEmpty uint64 // dequeues that returned EMPTY
 	// FastCASFails counts fast-path attempts that failed to claim their
 	// cell: an enqueue's value CAS lost, or a dequeue's visit yielded a
-	// poisoned cell or a lost claim CAS. This is the contention signal the
-	// adaptive controller's failure EWMA is built on; it is counted in
-	// fixed mode too, so fixed-vs-adaptive runs are comparable.
+	// poisoned cell or a lost claim CAS: the fast path's contention
+	// signal.
 	FastCASFails uint64
-	// BackoffIters totals the pause iterations spent in bounded CAS backoff
-	// (adaptive mode only; the fixed configuration never backs off).
-	BackoffIters uint64
 	// SpinFallbacks counts helpEnq invocations that exhausted the MAX_SPIN
 	// budget waiting for an in-flight enqueuer and yielded the processor
 	// before poisoning the cell.
@@ -302,7 +292,6 @@ func (c *Counters) Add(o Counters) {
 	c.DeqSlow += o.DeqSlow
 	c.DeqEmpty += o.DeqEmpty
 	c.FastCASFails += o.FastCASFails
-	c.BackoffIters += o.BackoffIters
 	c.SpinFallbacks += o.SpinFallbacks
 	c.HelpEnq += o.HelpEnq
 	c.HelpDeq += o.HelpDeq
@@ -350,7 +339,6 @@ type Queue struct {
 	maxSpin    int
 	maxGarbage int64
 	recycle    bool
-	adaptive   bool
 	coalesce   int
 
 	handles []*Handle
@@ -382,7 +370,6 @@ type config struct {
 	maxSpin    int
 	maxGarbage int64
 	recycle    bool
-	adaptive   bool
 	coalesce   int
 }
 
@@ -488,7 +475,6 @@ func New(maxThreads int, opts ...Option) *Queue {
 		maxSpin:    cfg.maxSpin,
 		maxGarbage: cfg.maxGarbage,
 		recycle:    cfg.recycle,
-		adaptive:   cfg.adaptive,
 		coalesce:   cfg.coalesce,
 	}
 	if cfg.recycle {
@@ -513,7 +499,6 @@ func New(maxThreads int, opts ...Option) *Queue {
 		atomic.StorePointer(&h.head, unsafe.Pointer(s0))
 		h.hzdp = -1
 		h.spare = make([]*Handle, 0, maxThreads)
-		h.adaptInit(&cfg)
 	}
 	// Chain every handle onto the lock-free free list (handle i links to
 	// i+1, 1-based; the last links to 0) and publish index 1 as the top.
@@ -562,7 +547,6 @@ func (q *Queue) Stats() Counters {
 		total.DeqSlow += ctrLoad(&h.stats.DeqSlow)
 		total.DeqEmpty += ctrLoad(&h.stats.DeqEmpty)
 		total.FastCASFails += ctrLoad(&h.stats.FastCASFails)
-		total.BackoffIters += ctrLoad(&h.stats.BackoffIters)
 		total.SpinFallbacks += ctrLoad(&h.stats.SpinFallbacks)
 		total.HelpEnq += ctrLoad(&h.stats.HelpEnq)
 		total.HelpDeq += ctrLoad(&h.stats.HelpDeq)
@@ -581,15 +565,6 @@ func (q *Queue) Stats() Counters {
 		total.CoalesceRefills += ctrLoad(&h.stats.CoalesceRefills)
 	}
 	return total
-}
-
-// ContentionEvents returns the handle's cumulative count of contention
-// signals: fast-path CAS failures, slow-path entries and spin fallbacks.
-// The sharded layer reads this after each operation to maintain per-lane
-// hotness; the owner-read delta costs four counter loads.
-func (h *Handle) ContentionEvents() uint64 {
-	return ctrLoad(&h.stats.FastCASFails) + ctrLoad(&h.stats.EnqSlow) +
-		ctrLoad(&h.stats.DeqSlow) + ctrLoad(&h.stats.SpinFallbacks)
 }
 
 // ReclaimedSegments returns the total number of segments retired by the

@@ -17,25 +17,15 @@ func (q *Queue) Enqueue(h *Handle, v unsafe.Pointer) {
 	// fast path performs immediately after orders the publication.
 	atomic.StoreInt64(&h.hzdp, sid((*segment)(atomic.LoadPointer(&h.tail))))
 
-	if q.adaptive {
-		q.adaptOpStart(h)
-	}
 	var cellID int64
 	ok := false
-	//wfqlint:bounded(PATIENCE+1, fast-path patience loop: p starts at effPatience <= AdaptPatienceMax and decreases every iteration (§3.3))
-	for p := q.effPatience(h); p >= 0; p-- {
+	//wfqlint:bounded(PATIENCE+1, fast-path patience loop: p starts at the configured patience and decreases every iteration)
+	for p := q.patience; p >= 0; p-- {
 		if q.enqFast(h, v, &cellID) {
 			ok = true
 			break
 		}
 		ctrInc(&h.stats.FastCASFails)
-		// Adaptive mode: take the lost CAS off the contended line for a
-		// bounded, exponentially growing pause before retrying (LCRQ's
-		// backoff remedy, constant-capped). Never before the slow path —
-		// helping needs no backoff.
-		if q.adaptive && p > 0 {
-			q.backoff(h)
-		}
 	}
 	if ok {
 		ctrInc(&h.stats.EnqFast)
@@ -45,9 +35,6 @@ func (q *Queue) Enqueue(h *Handle, v unsafe.Pointer) {
 	}
 
 	atomic.StoreInt64(&h.hzdp, -1)
-	if q.adaptive {
-		q.adaptTick(h)
-	}
 }
 
 // tryToClaimReq attempts to transition request state s from pending with
@@ -142,17 +129,11 @@ func (q *Queue) helpEnq(h *Handle, c *cell, i int64) unsafe.Pointer {
 	// The wait itself polls the cell only once per spinPollStride pause
 	// iterations: the enqueuer's deposit needs this very cache line, so a
 	// dequeuer re-loading it back-to-back keeps yanking the line into the
-	// shared state and delays the value it is waiting for. Under
-	// WithAdaptive the budget is the handle's effective spin, moved within
-	// [AdaptSpinMin, AdaptSpinMax] by the controller.
+	// shared state and delays the value it is waiting for.
 	if v == nil {
-		budget := q.effSpin(h)
-		if budget > 0 && atomic.LoadInt64(&q.T) > i {
-			if q.adaptive {
-				h.adapt.spinEntries++
-			}
-			spins := budget
-			//wfqlint:bounded(MAX_SPIN, spins starts from the constant-capped budget — MAX_SPIN, or at most AdaptSpinMax in adaptive mode — and decreases by min(spinPollStride, spins) ≥ 1 every iteration: at most ceil(budget/spinPollStride) polls)
+		if q.maxSpin > 0 && atomic.LoadInt64(&q.T) > i {
+			spins := q.maxSpin
+			//wfqlint:bounded(MAX_SPIN, spins starts from the configured MAX_SPIN and decreases by min(spinPollStride, spins) ≥ 1 every iteration: at most ceil(MAX_SPIN/spinPollStride) polls)
 			for spins > 0 && v == nil {
 				k := spinPollStride
 				if k > spins {

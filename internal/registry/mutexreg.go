@@ -72,9 +72,3 @@ func (a *mutexRegAdapter) Register() (qiface.Ops, error) {
 func (a *mutexRegAdapter) Stats() map[string]uint64 {
 	return coreStatsMap(a.q.Stats())
 }
-
-// Adaptive implements qiface.AdaptiveProvider (always disabled for this
-// baseline, like plain wf-10).
-func (a *mutexRegAdapter) Adaptive() qiface.AdaptiveSnapshot {
-	return adaptiveSnapshot(a.q.AdaptiveStats())
-}

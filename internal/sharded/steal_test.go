@@ -8,6 +8,39 @@ import (
 	"unsafe"
 )
 
+// TestPickLaneDispatch pins the two dispatch policies: affinity always
+// picks the handle's home lane, and round-robin walks the lanes in cursor
+// order, counting every pick.
+func TestPickLaneDispatch(t *testing.T) {
+	q := New(1, WithLanes(4))
+	h, err := q.RegisterOnLane(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if li := q.pickLane(h); li != 2 {
+			t.Fatalf("affinity: pickLane = %d, want home 2", li)
+		}
+	}
+	if got := ctrLoad(&h.stats.RRDispatches); got != 0 {
+		t.Errorf("affinity counted %d round-robin dispatches, want 0", got)
+	}
+
+	rr := New(1, WithLanes(4), WithDispatch(DispatchRoundRobin))
+	hr, err := rr.RegisterOnLane(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if li := rr.pickLane(hr); li != i%4 {
+			t.Fatalf("round-robin pick %d: pickLane = %d, want %d", i, li, i%4)
+		}
+	}
+	if got := ctrLoad(&hr.stats.RRDispatches); got != 8 {
+		t.Errorf("RRDispatches = %d after 8 round-robin picks, want 8", got)
+	}
+}
+
 // TestStealWhitebox walks the two sweep passes deterministically. One value
 // sits in lane 2; a consumer homed on lane 0 must find it via the hint pass
 // (lane 1's zero size hint skips it without poisoning a cell), and a second
