@@ -6,7 +6,7 @@ GO ?= go
 # lands here; the directory is untracked (see .gitignore).
 ARTIFACTS ?= artifacts
 
-.PHONY: all build vet lint cert cert-check test race short perfbench bench bench-json bench-json-sharded bench-handles bench-scq bench-coalesce bench-topo bench-trajectory bench-all bench-compare fuzz stress soak ci experiments examples clean
+.PHONY: all build vet lint cert cert-check test race short alloc-gates perfbench bench bench-json bench-json-sharded bench-handles bench-scq bench-coalesce bench-topo bench-trajectory bench-all bench-compare fuzz stress soak ci experiments examples clean
 
 all: build vet lint test
 
@@ -48,6 +48,17 @@ short:
 
 race:
 	$(GO) test -race ./... -count=1
+
+# The exact-zero allocation gates, 20 times over in fresh test processes at
+# GOMAXPROCS=2: the wfqbench subcommands whose exit code gates steady-state
+# allocations, and the internal/bench gates they call. Each `go test` run
+# starts new processes, so runtime state (Ms, caches) is never reused.
+alloc-gates:
+	set -e; for i in $$(seq 20); do \
+		GOMAXPROCS=2 $(GO) test -count=1 \
+			-run 'TestCLICoalesce|TestCLIJSONAdaptiveAndCompare|AllocsZero' \
+			./cmd/wfqbench ./internal/bench; \
+	done
 
 # The repository benchmark (perfbench/README.md): the benchmark module's own
 # tests, which the root `go test ./...` does not reach, then a 3-s run of

@@ -7,6 +7,7 @@
 //	BenchmarkSingleThread       §5.2 single-thread comparison
 //	BenchmarkTable1Platform     Table 1 (platform detection; prints once)
 //	BenchmarkAblation*          design-choice ablations called out in DESIGN.md
+//	BenchmarkFacadeFill         a 65,536-value fill through each public façade
 //
 // These benches run the raw operation loops without the 50–100 ns random
 // work and without the COV/CI machinery — `go test -bench` supplies its own
@@ -17,6 +18,7 @@ package wfqueue_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -250,6 +252,68 @@ func BenchmarkAblationReclamation(b *testing.B) {
 func BenchmarkFacadeBoxing(b *testing.B) {
 	q := wfqueue.New[int](1)
 	benchFacadePairs(b, q, 1)
+}
+
+// BenchmarkFacadeFill prices filling a fresh queue with 65,536 values
+// through the public API, the set-up of perfbench's pairs-deep workload:
+// every value needs a new box, so this is where the box supply (boxes.go)
+// shows. Queue and handle construction sit outside the timed and counted
+// region; ns/value and allocs/value cover the enqueues alone.
+func BenchmarkFacadeFill(b *testing.B) {
+	const n = 1 << 16
+	b.Run("Queue", func(b *testing.B) {
+		benchFill(b, n, func() (func(uint64), func()) {
+			q := wfqueue.New[uint64](1)
+			h, err := q.Register()
+			if err != nil {
+				b.Fatal(err)
+			}
+			return h.Enqueue, h.Release
+		})
+	})
+	b.Run("BoundedQueue", func(b *testing.B) {
+		benchFill(b, n, func() (func(uint64), func()) {
+			q, err := wfqueue.NewBounded[uint64](1, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			h, err := q.Register()
+			if err != nil {
+				b.Fatal(err)
+			}
+			return func(v uint64) {
+				if err := h.TryEnqueue(v); err != nil {
+					b.Fatal(err)
+				}
+			}, h.Release
+		})
+	})
+}
+
+// benchFill times n enqueues into a fresh queue per iteration; mk builds
+// the queue and returns its enqueue and release functions.
+func benchFill(b *testing.B, n int, mk func() (enq func(uint64), release func())) {
+	var m0, m1 runtime.MemStats
+	var mallocs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		enq, release := mk()
+		runtime.ReadMemStats(&m0)
+		b.StartTimer()
+		for v := 0; v < n; v++ {
+			enq(uint64(v))
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		mallocs += m1.Mallocs - m0.Mallocs
+		release()
+		b.StartTimer()
+	}
+	b.StopTimer()
+	values := float64(b.N) * float64(n)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/values, "ns/value")
+	b.ReportMetric(float64(mallocs)/values, "allocs/value")
 }
 
 func benchFacadePairs(b *testing.B, q *wfqueue.Queue[int], nthreads int) {

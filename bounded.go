@@ -12,7 +12,6 @@ package wfqueue
 import (
 	"errors"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -25,16 +24,15 @@ import (
 var ErrFull = scq.ErrFull
 
 // BoundedQueue is a bounded FIFO queue holding values of type T. Unlike
-// Queue[T] it never allocates after construction: a producer that outruns
-// its consumers sees ErrFull instead of heap growth. Dequeues keep a bounded
+// Queue[T] its storage never grows after construction: a producer that
+// outruns its consumers sees ErrFull instead of heap growth (value boxes
+// are carved and recycled as for Queue[T]). Dequeues keep a bounded
 // step count through the helping layer documented in DESIGN.md §7.
 type BoundedQueue[T any] struct {
 	q *scq.Queue
-	// boxes recycles the heap cells values travel through, exactly like
-	// Queue[T].boxes: handles keep a private free list and fall back to this
-	// shared Pool only when production and consumption are imbalanced across
-	// handles.
-	boxes sync.Pool
+	// boxes backs the handles' value-box caches, exactly like
+	// Queue[T].boxes.
+	boxes *boxPool[T]
 }
 
 // NewBounded creates a bounded queue with at least the requested value
@@ -46,9 +44,7 @@ func NewBounded[T any](maxHandles, capacity int) (*BoundedQueue[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	bq := &BoundedQueue[T]{q: q}
-	bq.boxes.New = func() any { return new(T) }
-	return bq, nil
+	return &BoundedQueue[T]{q: q, boxes: newBoxPool[T]()}, nil
 }
 
 // Register checks out a BoundedHandle. It returns ErrTooManyHandles when
@@ -62,7 +58,7 @@ func (q *BoundedQueue[T]) Register() (*BoundedHandle[T], error) {
 		}
 		return nil, err
 	}
-	hh := &BoundedHandle[T]{qt: q, h: h, free: make([]*T, 0, boxFreeListCap)}
+	hh := &BoundedHandle[T]{h: h, boxes: newBoxCache(q.boxes)}
 	runtime.SetFinalizer(hh, func(hh *BoundedHandle[T]) { hh.release() })
 	return hh, nil
 }
@@ -87,33 +83,10 @@ func (q *BoundedQueue[T]) Stats() map[string]uint64 { return q.q.Stats() }
 // BoundedQueue. A BoundedHandle must be used by at most one goroutine at a
 // time.
 type BoundedHandle[T any] struct {
-	qt       *BoundedQueue[T]
 	h        *scq.Handle
 	released atomic.Bool
-	// free is this handle's LIFO of recycled value boxes, bounded by
-	// boxFreeListCap with spill to the shared Pool (see Handle[T].free).
-	free []*T
-}
-
-// getBox and putBox mirror Handle[T]'s box recycling.
-func (h *BoundedHandle[T]) getBox() *T {
-	if n := len(h.free) - 1; n >= 0 {
-		b := h.free[n]
-		h.free[n] = nil
-		h.free = h.free[:n]
-		return b
-	}
-	return h.qt.boxes.Get().(*T)
-}
-
-func (h *BoundedHandle[T]) putBox(b *T) {
-	var zero T
-	*b = zero
-	if len(h.free) < cap(h.free) {
-		h.free = append(h.free, b)
-		return
-	}
-	h.qt.boxes.Put(b)
+	// boxes is this handle's value-box supply (see Handle[T].boxes).
+	boxes boxCache[T]
 }
 
 func (h *BoundedHandle[T]) check() {
@@ -129,10 +102,10 @@ func (h *BoundedHandle[T]) check() {
 // enqueue loop running entirely against a full queue allocates nothing.
 func (h *BoundedHandle[T]) TryEnqueue(v T) error {
 	h.check()
-	b := h.getBox()
+	b := h.boxes.get()
 	*b = v
 	if err := h.h.TryEnqueue(unsafe.Pointer(b)); err != nil {
-		h.putBox(b)
+		h.boxes.put(b)
 		return err
 	}
 	return nil
@@ -145,7 +118,7 @@ func (h *BoundedHandle[T]) TryEnqueue(v T) error {
 // use TryEnqueue and handle ErrFull themselves.
 func (h *BoundedHandle[T]) Enqueue(v T) {
 	h.check()
-	b := h.getBox()
+	b := h.boxes.get()
 	*b = v
 	for h.h.TryEnqueue(unsafe.Pointer(b)) != nil {
 		runtime.Gosched()
@@ -164,7 +137,7 @@ func (h *BoundedHandle[T]) Dequeue() (v T, ok bool) {
 	}
 	b := (*T)(p)
 	v = *b
-	h.putBox(b)
+	h.boxes.put(b)
 	return v, true
 }
 

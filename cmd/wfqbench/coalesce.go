@@ -73,7 +73,7 @@ type coalesceRow struct {
 	SteadyBytesPerOp  float64 `json:"steady_bytes_per_op"`
 	Mops              float64 `json:"mops"`
 	WallMops          float64 `json:"wall_mops"`
-	AllocsPerOp       float64 `json:"allocs_per_op"` // harness Run, min over trials
+	AllocsPerOp       float64 `json:"allocs_per_op"` // harness Run, memory trial
 	// OverWF10 is this window's wall throughput over wf-10's under the
 	// identical run-grouped workload, interleaved best-of rounds.
 	OverWF10 float64 `json:"over_wf10_wall"`

@@ -128,8 +128,8 @@ func runCompare(o options, baselinePath string, tolerance float64, strict bool) 
 			retainedStr(b.StallRetainedBytes), retainedStr(freshRetained))
 
 		// Allocation gate: always on. A baseline that reads exactly 0 pins a
-		// zero-allocation hot path, and the harness takes the minimum across
-		// trials precisely so stray runtime allocations cannot blur that
+		// zero-allocation hot path, and the harness counts only the
+		// workers' own allocations, so the runtime's cannot blur that
 		// floor — demand exact zero back. Queues that allocate legitimately
 		// (GC-reclaimed baselines) keep the relative gate with a noise floor.
 		if b.AllocsPerOp == 0 {

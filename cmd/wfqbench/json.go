@@ -73,7 +73,7 @@ type jsonQueue struct {
 	Mops        float64 `json:"mops"`          // work-excluded steady-state mean
 	MopsCIHalf  float64 `json:"mops_ci_half"`  // 95% CI half-width
 	WallMops    float64 `json:"wall_mops"`     // wall-clock mean (work included)
-	AllocsPerOp float64 `json:"allocs_per_op"` // last trial, MemStats delta
+	AllocsPerOp float64 `json:"allocs_per_op"` // harness Run, memory trial
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	GCPauseNS   uint64  `json:"gc_pause_total_ns"`
 	GCCycles    uint32  `json:"gc_cycles"`

@@ -1,10 +1,10 @@
-// Steady-state allocation measurement for the zero-allocation gate: the
+// Steady-state allocation measurement for the zero-allocation gates: the
 // CI bench-smoke job fails when the core hot path allocates at steady
-// state (see cmd/wfqbench's json subcommand).
+// state (see cmd/wfqbench's json subcommand). Each measurement counts only
+// the allocations its measured loop makes (allocwindow.go).
 package bench
 
 import (
-	"runtime"
 	"unsafe"
 
 	"wfqueue/internal/affinity"
@@ -26,8 +26,8 @@ type SteadyStateResult struct {
 // small enough (shift 6, maxGarbage 1) that the measured window crosses
 // many segment boundaries — so the number proves segment recycling, not
 // just in-segment cell reuse. The queue is warmed through one full
-// reclamation cycle first, then ops enqueue/dequeue pairs run under
-// MemStats accounting on a single goroutine (the allocation behavior of
+// reclamation cycle first, then ops enqueue/dequeue pairs run in an
+// allocation window on a single goroutine (the allocation behavior of
 // the data structure is thread-count independent: the same code paths
 // run, only their interleaving changes).
 func SteadyStateAllocs(ops int) SteadyStateResult {
@@ -54,19 +54,16 @@ func SteadyStateAllocs(ops int) SteadyStateResult {
 	}
 
 	before := q.ReclaimedSegments()
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < ops; i++ {
-		q.Enqueue(h, p)
-		q.Dequeue(h)
-	}
-	runtime.ReadMemStats(&m1)
-
+	allocs, bytes := AllocsIn(func() {
+		for i := 0; i < ops; i++ {
+			q.Enqueue(h, p)
+			q.Dequeue(h)
+		}
+	})
 	return SteadyStateResult{
 		Ops:         ops,
-		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(ops),
-		BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops),
+		AllocsPerOp: float64(allocs) / float64(ops),
+		BytesPerOp:  float64(bytes) / float64(ops),
 		Recycled:    q.ReclaimedSegments() - before,
 	}
 }
@@ -103,21 +100,18 @@ func SCQSteadyStateAllocs(ops int) SteadyStateResult {
 		h.Dequeue()
 	}
 
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < ops; i++ {
-		if err := h.TryEnqueue(p); err != nil {
-			panic(err)
+	allocs, bytes := AllocsIn(func() {
+		for i := 0; i < ops; i++ {
+			if err := h.TryEnqueue(p); err != nil {
+				panic(err)
+			}
+			h.Dequeue()
 		}
-		h.Dequeue()
-	}
-	runtime.ReadMemStats(&m1)
-
+	})
 	return SteadyStateResult{
 		Ops:         ops,
-		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(ops),
-		BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops),
+		AllocsPerOp: float64(allocs) / float64(ops),
+		BytesPerOp:  float64(bytes) / float64(ops),
 		Recycled:    uint64(ops / capacity), // full ring wraps the window crossed
 	}
 }
@@ -168,17 +162,12 @@ func CoalesceSteadyStateAllocs(ops, window int) SteadyStateResult {
 	if rounds < 1 {
 		rounds = 1
 	}
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	run(rounds)
-	runtime.ReadMemStats(&m1)
-
-	measured := rounds * window
+	allocs, bytes := AllocsIn(func() { run(rounds) })
+	n := rounds * window
 	return SteadyStateResult{
-		Ops:         measured,
-		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(measured),
-		BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(measured),
+		Ops:         n,
+		AllocsPerOp: float64(allocs) / float64(n),
+		BytesPerOp:  float64(bytes) / float64(n),
 		Recycled:    q.ReclaimedSegments() - before,
 	}
 }
@@ -232,17 +221,7 @@ func TopoSteadyStateAllocs(ops int) SteadyStateResult {
 		q.Dequeue(hs[i%len(hs)])
 	}
 
-	// Minimum over a few rounds, like churnAllocs: runtime background work
-	// (timers, GC metadata — the Gosched rung hands the processor to the
-	// scheduler, which occasionally runs some) can land a handful of stray
-	// allocations inside one window, while a genuine hot-path allocation
-	// shows up in every round at >= 1 alloc/op.
-	res := SteadyStateResult{Ops: ops}
-	var m0, m1 runtime.MemStats
-	const rounds = 3
-	for r := 0; r < rounds; r++ {
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
+	pass := func() {
 		for i := 0; i < ops; i++ {
 			h := hs[i%len(hs)]
 			q.Enqueue(h, p)
@@ -254,15 +233,18 @@ func TopoSteadyStateAllocs(ops int) SteadyStateResult {
 				q.Dequeue(h)
 			}
 		}
-		runtime.ReadMemStats(&m1)
-		allocs := float64(m1.Mallocs-m0.Mallocs) / float64(ops)
-		bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops)
-		if r == 0 || allocs < res.AllocsPerOp {
-			res.AllocsPerOp = allocs
-			res.BytesPerOp = bytes
-		}
 	}
-	return res
+	// The sweeps interleaved with the pairs steal across lanes, which
+	// grows each lane's segment chain a little past what the warm-up
+	// above needed (a few segments in the first pass, none after), so one
+	// unmeasured pass of the same traffic completes the warm-up.
+	pass()
+	allocs, bytes := AllocsIn(pass)
+	return SteadyStateResult{
+		Ops:         ops,
+		AllocsPerOp: float64(allocs) / float64(ops),
+		BytesPerOp:  float64(bytes) / float64(ops),
+	}
 }
 
 // ChurnAllocsResult reports the heap traffic of a handle-lifecycle churn
@@ -274,38 +256,24 @@ type ChurnAllocsResult struct {
 	BytesPerCycle  float64
 }
 
-// churnAllocs measures cycle() under MemStats accounting after one warm-up
-// call (the first acquisition may fault in lazily initialized runtime
-// state, which is not the lifecycle's doing). Like testing.AllocsPerRun it
-// pins GOMAXPROCS to 1 for the measurement, and it additionally takes the
-// minimum over a few rounds: runtime background work (timers, GC metadata)
-// occasionally lands a stray allocation inside a window, which would read
-// as ~1e-5 allocs/cycle and trip an exact-zero gate, while a genuine
-// lifecycle allocation shows up in every round at ≥ 1 alloc/cycle.
+// churnAllocs measures cycle() after one warm-up call (the first
+// acquisition may fault in lazily initialized runtime state, which is not
+// the lifecycle's doing).
 func churnAllocs(cycles int, cycle func()) ChurnAllocsResult {
 	if cycles < 1 {
 		cycles = 1
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cycle()
-	res := ChurnAllocsResult{Cycles: cycles}
-	var m0, m1 runtime.MemStats
-	const rounds = 3
-	for r := 0; r < rounds; r++ {
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
+	allocs, bytes := AllocsIn(func() {
 		for i := 0; i < cycles; i++ {
 			cycle()
 		}
-		runtime.ReadMemStats(&m1)
-		allocs := float64(m1.Mallocs-m0.Mallocs) / float64(cycles)
-		bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(cycles)
-		if r == 0 || allocs < res.AllocsPerCycle {
-			res.AllocsPerCycle = allocs
-			res.BytesPerCycle = bytes
-		}
+	})
+	return ChurnAllocsResult{
+		Cycles:         cycles,
+		AllocsPerCycle: float64(allocs) / float64(cycles),
+		BytesPerCycle:  float64(bytes) / float64(cycles),
 	}
-	return res
 }
 
 // CoreChurnAllocs measures the core queue's AcquireHandle/Release pair: the

@@ -86,15 +86,16 @@ type Result struct {
 	EmptyDeqs     uint64            // dequeues that returned EMPTY (last trial)
 	QueueStats    map[string]uint64 // implementation counters, if exposed
 
-	// Memory-path metrics from runtime.MemStats deltas across a trial's
-	// measured iterations (the workers are the only mutators while a trial
-	// runs). AllocsPerOp and BytesPerOp are the MINIMUM per-op average over
-	// the trials: one-time warm-up allocations — segment growth to steady
-	// state, adapter arenas, scratch buffers — land in whichever trial pays
-	// them, while a genuinely allocation-free hot path reads exactly 0 in
-	// the trials that don't, so the minimum is the steady-state floor the
-	// zero-alloc gates assert on. GCPauseNS and GCCycles are last-trial
-	// totals.
+	// Memory-path metrics. AllocsPerOp and BytesPerOp come from one extra,
+	// untimed memory trial after the timed ones: warm-up iterations, then
+	// one iteration of at most memTrialOps operations in an allocation
+	// window (allocwindow.go) that counts only the allocations made inside
+	// the workers' operation loop. Warm-up allocations (segment growth,
+	// adapter arenas, scratch buffers) land in the warm-up, so an
+	// allocation-free hot path reads exactly 0. The window samples every
+	// allocation, which would slow allocating queues in a timed trial.
+	// GCPauseNS and GCCycles are runtime.MemStats totals of the last timed
+	// trial.
 	AllocsPerOp float64
 	BytesPerOp  float64
 	GCPauseNS   uint64
@@ -140,7 +141,7 @@ func Run(cfg Config) (Result, error) {
 	res := Result{Config: cfg}
 	order := affinity.CompactOrder()
 	for trial := 0; trial < cfg.Trials; trial++ {
-		mops, wallMops, last, err := runTrial(cfg, factory, order, cfg.Seed+uint64(trial)*1_000_003)
+		mops, wallMops, last, err := runTrial(cfg, factory, order, cfg.Seed+uint64(trial)*1_000_003, false)
 		if err != nil {
 			return Result{}, err
 		}
@@ -155,20 +156,22 @@ func Run(cfg Config) (Result, error) {
 		res.Dequeues = last.deqs
 		res.EmptyDeqs = last.empties
 		res.QueueStats = last.queueStats
-		if last.opsDone > 0 {
-			allocsPerOp := float64(last.allocs) / float64(last.opsDone)
-			bytesPerOp := float64(last.bytes) / float64(last.opsDone)
-			if trial == 0 || allocsPerOp < res.AllocsPerOp {
-				res.AllocsPerOp = allocsPerOp
-			}
-			if trial == 0 || bytesPerOp < res.BytesPerOp {
-				res.BytesPerOp = bytesPerOp
-			}
-		}
 		res.GCPauseNS = last.gcPauseNS
 		res.GCCycles = last.gcCycles
 		runtime.GC() // isolate trials, mirroring fresh process invocations
 	}
+
+	memCfg := cfg
+	memCfg.Iters = memTrialIters
+	memCfg.Ops = max(min(cfg.Ops, memTrialOps), cfg.Threads)
+	_, _, mem, err := runTrial(memCfg, factory, order, cfg.Seed, true)
+	if err != nil {
+		return Result{}, err
+	}
+	res.AllocsPerOp = float64(mem.allocs) / float64(memCfg.Ops)
+	res.BytesPerOp = float64(mem.bytes) / float64(memCfg.Ops)
+	runtime.GC()
+
 	res.Interval = interval(res.TrialMops)
 	res.WallInterval = interval(res.WallTrialMops)
 	return res, nil
@@ -188,10 +191,10 @@ type trialTotals struct {
 	enqs, deqs, empties uint64
 	queueStats          map[string]uint64
 
-	// Heap accounting over the trial's measured iterations.
-	opsDone   uint64 // operations actually executed (Ops × iterations run)
-	allocs    uint64 // heap allocations (MemStats.Mallocs delta)
-	bytes     uint64 // heap bytes allocated (MemStats.TotalAlloc delta)
+	// Heap accounting: allocations in the workers' loop during the last
+	// iteration (memory trial only), and GC work after the first.
+	allocs    uint64 // heap allocations
+	bytes     uint64 // heap bytes those allocations took
 	gcPauseNS uint64 // stop-the-world pause total (PauseTotalNs delta)
 	gcCycles  uint32 // completed GC cycles (NumGC delta)
 }
@@ -205,7 +208,22 @@ type workerCtl struct {
 	empty  uint64
 }
 
-func runTrial(cfg Config, factory qiface.Factory, order []int, seed uint64) (excl, wall []float64, totals trialTotals, err error) {
+// Run's memory trial: memTrialIters iterations of at most memTrialOps
+// operations, all but the last warm-up. The ops cap matters because the
+// allocation window samples every allocation, so a queue that allocates per
+// operation runs several times slower inside it. The warm-up matters at
+// T ≥ 2: a preempted handle holds back reclamation, so a recycling queue
+// grows its segment supply to the lags it has seen; after one warm-up
+// iteration wf-10-recycle at T=2 still took a fresh segment in ~10% of
+// 20,000-op windows, after four in ~0.7%.
+const (
+	memTrialOps   = 1 << 17
+	memTrialIters = 5
+)
+
+// runTrial runs one trial on a fresh queue. With countAllocs it counts the
+// workers' heap allocations in the last iteration (the memory trial).
+func runTrial(cfg Config, factory qiface.Factory, order []int, seed uint64, countAllocs bool) (excl, wall []float64, totals trialTotals, err error) {
 	q, err := factory.New(cfg.Threads)
 	if err != nil {
 		return nil, nil, trialTotals{}, err
@@ -272,18 +290,16 @@ func runTrial(cfg Config, factory qiface.Factory, order []int, seed uint64) (exc
 		<-ready
 	}
 
-	// Memory baseline: workers are registered and parked on the first
-	// iteration barrier, so every allocation from here to the end of the
-	// iteration loop is queue traffic (plus harness noise measured in
-	// bytes, amortized over millions of operations). The first iteration is
-	// additionally treated as memory warm-up when more follow (the window is
-	// rebased after it): a fresh queue faults in one-time state on its first
-	// traversal — segment chains, adapter arena backing — whose handful of
-	// allocations would read as a spurious ~1e-5 allocs/op and blur the
-	// exact-zero floor the allocation gates assert on.
+	// GC baseline: workers are registered and parked on the first
+	// iteration barrier. The first iteration is memory warm-up when more
+	// follow (the baseline is rebased after it): a fresh queue faults in
+	// one-time state on its first traversal — segment chains, adapter arena
+	// backing. The memory trial's allocation window covers the last
+	// iteration; it keys on runWorkerIteration, so only the workers'
+	// operations count, not this driver or the runtime.
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	memWarm := 0 // leading iterations excluded from the memory window
+	var win *allocWindow
 
 	mops := make([]float64, 0, cfg.Iters)
 	wallMops := make([]float64, 0, cfg.Iters)
@@ -312,12 +328,14 @@ func runTrial(cfg Config, factory qiface.Factory, order []int, seed uint64) (exc
 
 		if it == 0 && cfg.Iters > 1 {
 			runtime.ReadMemStats(&m0)
-			memWarm = 1
+		}
+		if countAllocs && it == cfg.Iters-2 {
+			win = openAllocWindow(workerFrame)
 		}
 
 		// Early exit once steady state is reached, like the paper's "at
-		// most 20 iterations".
-		if _, _, ok := stats.SteadyState(mops); ok && it >= stats.SteadyWindow-1 {
+		// most 20 iterations". The memory trial runs all its iterations.
+		if _, _, ok := stats.SteadyState(mops); ok && it >= stats.SteadyWindow-1 && !countAllocs {
 			// Steady state reached: release the remaining iteration
 			// barriers as no-ops so the workers drain and exit.
 			stop.Store(true)
@@ -331,14 +349,10 @@ func runTrial(cfg Config, factory qiface.Factory, order []int, seed uint64) (exc
 		}
 	}
 
-	runtime.ReadMemStats(&m1)
-	memIters := len(mops) - memWarm
-	if memIters < 1 {
-		memIters = 1
+	if win != nil {
+		totals.allocs, totals.bytes = win.close()
 	}
-	totals.opsDone = uint64(cfg.Ops) * uint64(memIters)
-	totals.allocs = m1.Mallocs - m0.Mallocs
-	totals.bytes = m1.TotalAlloc - m0.TotalAlloc
+	runtime.ReadMemStats(&m1)
 	totals.gcPauseNS = m1.PauseTotalNs - m0.PauseTotalNs
 	totals.gcCycles = m1.NumGC - m0.NumGC
 
@@ -352,6 +366,8 @@ func runTrial(cfg Config, factory qiface.Factory, order []int, seed uint64) (exc
 	}
 	return mops, wallMops, totals, nil
 }
+
+var workerFrame = funcName(runWorkerIteration)
 
 // runWorkerIteration executes one worker's share of one iteration. q is only
 // used by the Churn workload, whose cycles register and release their own
